@@ -17,6 +17,7 @@ const (
 	procs    = 8
 	cellsPer = 512 // interior cells per processor
 	maxSteps = 200
+	fixedOne = 1 << 20 // fixed-point scale of the convergence all-reduce
 )
 
 // run executes the stencil on one machine and returns (steps, virtual
@@ -72,11 +73,10 @@ func run(params repro.Params) (int, float64, float64) {
 				loc[i] = math.Float64bits(next[i])
 			}
 
-			// Convergence: sum of |Δ| across the whole domain.
-			total := math.Float64frombits(p.AllReduce(math.Float64bits(localDelta),
-				func(a, b uint64) uint64 {
-					return math.Float64bits(math.Float64frombits(a) + math.Float64frombits(b))
-				}))
+			// Convergence: sum of |Δ| across the whole domain, reduced in
+			// fixed point so the built-in integer sum can combine it.
+			fixed := uint64(math.Round(localDelta * fixedOne))
+			total := float64(p.AllReduceOp(fixed, repro.OpSum)) / fixedOne
 			p.Barrier()
 			if me == 0 {
 				steps = s + 1

@@ -232,7 +232,7 @@ func (m *Machine) SetCPUFactor(f float64) {
 func (m *Machine) CPUFactor() float64 { return m.cpuFactor }
 
 // Endpoint is one processor's interface to the network. All methods must be
-// called from the owning processor's goroutine (handlers included).
+// called from the owning processor's body (handlers included).
 type Endpoint struct {
 	m    *Machine
 	proc *sim.Proc
@@ -266,8 +266,8 @@ type Endpoint struct {
 
 // epWait adapts an endpoint's spin-poll wait loop to sim.PollableWait, so
 // the engine can drive wait iterations inline instead of resuming the
-// waiter's goroutine (see Proc.ParkPollable) — and, in resumable mode,
-// so continuation bodies can park on it directly (see cont.go). Four
+// waiter's body (see Proc.ParkPollable) — and so state-machine bodies
+// can park on it directly (see cont.go). Four
 // modes, chosen to keep the steady-state paths closure-free:
 //
 //   - waitModeWindow: a window stall on dst, ready when a request credit

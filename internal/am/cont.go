@@ -10,7 +10,7 @@ import (
 //
 // A resumable processor body (sim.Resumable) cannot call the blocking
 // endpoint operations — Request, Store, Poll, WaitUntilFor — because they
-// park by yielding the calling goroutine's stack, and a resumable body
+// park by suspending the calling body's stack, and a state-machine body
 // has none. The methods in this file decompose each blocking operation
 // into the three things it actually does:
 //
@@ -18,8 +18,8 @@ import (
 //     exactly the message-processing half of Poll (GAM polls on every
 //     request), with the caller parking on sim.Yield between steps;
 //  2. wait   — WindowWait / CounterWait / QuiesceWait hand the engine a
-//     closure-free wait record to drive (the same epWait the coroutine
-//     shell parks on, so both modes share one wait implementation);
+//     closure-free wait record to drive (the same epWait blocking
+//     bodies park on, so both forms share one wait implementation);
 //  3. commit — SendRequest / SendStore perform the charge, the window
 //     book-keeping, and the launch, with no possibility of blocking.
 //

@@ -10,17 +10,11 @@ import (
 // simulation packages. Each simulation must stay single-goroutine so
 // that a run is a pure function of its Spec: host concurrency belongs
 // only to internal/run's worker pool, which parallelizes across
-// simulations, never within one.
-//
-// The one sanctioned exception is the coroutine compatibility shell in
-// internal/sim/engine.go, which multiplexes blocking SPMD bodies over
-// goroutines with a strict one-runnable-at-a-time handoff; those sites
-// carry //lint:allow goroutinefree annotations explaining why the
-// handoff is deterministic. The resumable runtime that replaced it as
-// the scaling path (sim/resume.go, am/cont.go, splitc/cont.go, the
-// scalekern kernels) runs every processor on the engine's own
-// goroutine and needs no exception — the shell-confinement test pins
-// that no allow directive appears outside engine.go.
+// simulations, never within one. There is no sanctioned exception: the
+// engine drives every processor body — a state machine, or a blocking
+// body run as an iter.Pull coroutine — from one loop on the caller's
+// goroutine, and TestNoGoroutineAllowsInSimulator pins that no allow
+// directive appears inside the simulation boundary.
 var GoroutineFree = &Analyzer{
 	Name: "goroutinefree",
 	Doc:  "forbid go statements and channel operations in simulation packages",

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"runtime/debug"
-	"sync"
 )
 
 // Config controls engine construction.
@@ -20,49 +19,42 @@ type Config struct {
 }
 
 // Engine is a deterministic discrete-event simulator for SPMD programs.
-// Create one with New, then call Run (or RunEach) exactly once.
+// Create one with New, then call Run, RunEach or RunResumables exactly
+// once.
 type Engine struct {
 	procs     []*Proc
 	ready     procHeap
 	events    eventHeap
 	timeLimit Time
 
-	eventSeq   int64
-	liveCount  int
-	aborted    bool
-	failure    error
-	doneCh     chan struct{}
-	doneClosed bool
-	wg         sync.WaitGroup
+	eventSeq  int64
+	liveCount int
+	failure   error
 
 	// seed feeds the lazily built per-processor PRNGs (see Proc.Rand).
 	seed int64
 	// started flips when Run/RunEach/RunResumables begins; engines are
 	// single-use.
 	started bool
-	// resumable marks a RunResumables run: processor bodies are state
-	// machines driven from the caller's goroutine, no coroutine shell
-	// exists, and the channel-based primitives must not be used.
-	resumable bool
 	// stepping is the processor whose Resume call is currently executing,
-	// for failure attribution when a resumable body panics.
+	// for failure attribution when a body panics.
 	stepping *Proc
-	// failMu serializes the teardown path. Steady-state execution is
-	// single-token and needs no locking, but once an abort begins, every
-	// parked goroutine is woken and unwinds concurrently — and a body can
-	// defer a panic of its own into that unwind, re-entering failure
-	// recording and teardown from several goroutines at once.
-	failMu sync.Mutex
+	// handoff is the processor a coroutine body chose to run next when it
+	// gave up the CPU (see yieldTo); the driver resumes it directly.
+	handoff *Proc
+	// resumed flips at the first coroutine resume; every later one is a
+	// hand-off between bodies and counts as a switch.
+	resumed bool
 
 	// Counters exposed for scheduler diagnostics and ablation benchmarks.
-	switches    int64 // goroutine hand-offs performed
+	switches    int64 // coroutine hand-offs performed
 	eventsRun   int64 // events executed
 	fastChecks  int64 // checkpoints that kept running without a switch
 	fastParks   int64 // parks whose dispatch picked the parker itself
 	inlineSteps int64 // pollable-wait iterations the dispatcher ran inline
 }
 
-// abortSentinel unwinds parked processor goroutines when the engine aborts.
+// abortPanic unwinds a processor body when the engine aborts.
 type abortPanic struct{}
 
 // ErrTimeLimit is returned by Run when Config.TimeLimit was exceeded.
@@ -76,8 +68,7 @@ func New(cfg Config) *Engine {
 	if cfg.Procs < 1 {
 		panic(fmt.Sprintf("sim: Config.Procs must be >= 1, got %d", cfg.Procs))
 	}
-	//lint:allow goroutinefree doneCh signals run completion to the single external caller of Run
-	e := &Engine{doneCh: make(chan struct{}), timeLimit: cfg.TimeLimit, seed: cfg.Seed}
+	e := &Engine{timeLimit: cfg.TimeLimit, seed: cfg.Seed}
 	e.procs = make([]*Proc, cfg.Procs)
 	for i := range e.procs {
 		e.procs[i] = newProc(e, i)
@@ -92,21 +83,22 @@ func (e *Engine) P() int { return len(e.procs) }
 // a run; during a run, program code receives its own *Proc.
 func (e *Engine) Proc(i int) *Proc { return e.procs[i] }
 
-// Switches reports how many goroutine hand-offs the scheduler performed.
+// Switches reports how many coroutine hand-offs the scheduler performed:
+// resumes of a blocking body other than the run's first.
 func (e *Engine) Switches() int64 { return e.switches }
 
 // EventsRun reports how many discrete events the engine executed.
 func (e *Engine) EventsRun() int64 { return e.eventsRun }
 
-// FastCheckpoints reports checkpoints resolved without a goroutine switch.
+// FastCheckpoints reports checkpoints resolved without a coroutine switch.
 func (e *Engine) FastCheckpoints() int64 { return e.fastChecks }
 
-// SwitchesSaved reports scheduler decisions resolved without a goroutine
+// SwitchesSaved reports scheduler decisions resolved without a coroutine
 // hand-off that the pre-fast-path scheduler would have paid one for: parks
 // whose dispatch picked the parker itself (an event executed during the
 // dispatch woke it, and it was the next runnable), plus every pollable-wait
 // iteration the dispatcher drove inline instead of resuming the waiter's
-// goroutine (see Proc.ParkPollable).
+// body (see Proc.ParkPollable).
 func (e *Engine) SwitchesSaved() int64 { return e.fastParks + e.inlineSteps }
 
 // MaxClock returns the largest processor clock, i.e. the parallel makespan.
@@ -120,28 +112,42 @@ func (e *Engine) MaxClock() Time {
 	return mx
 }
 
-// Fail aborts the simulation with err; Run (or RunEach) returns it. It
+// Fail aborts the simulation with err; the Run call returns it. It
 // may be called from an event or from a processor body — the layer that
 // detects an unrecoverable protocol condition (for example a message
 // exceeding its retransmission cap) uses it to surface a typed error
 // instead of letting the run hang. Fail does not return: it unwinds the
-// calling goroutine through the engine's abort path. If a failure is
-// already recorded, the first one wins.
+// caller to the driver, which tears the run down. If a failure is already
+// recorded, the first one wins.
 func (e *Engine) Fail(err error) {
 	e.recordFailure(err)
-	e.abortFromRunning()
 	panic(abortPanic{})
 }
 
 // recordFailure stores err as the simulation's failure unless one is
 // already recorded: the first failure wins, later ones (secondary panics
-// raised while goroutines unwind) must not mask the root cause.
+// raised while bodies unwind) must not mask the root cause.
 func (e *Engine) recordFailure(err error) {
-	e.failMu.Lock()
 	if e.failure == nil {
 		e.failure = err
 	}
-	e.failMu.Unlock()
+}
+
+// recordPanic turns a panic recovered from p's body (or from the driver,
+// p == nil) into the run's failure. An abortPanic carries nothing: the
+// failure that raised it is already recorded.
+func (e *Engine) recordPanic(p *Proc, r any) {
+	switch r.(type) {
+	case abortPanic:
+	case timeLimitPanic:
+		e.recordFailure(fmt.Errorf("sim: proc %d at %v: %w", p.id, p.clock, ErrTimeLimit))
+	default:
+		if p == nil {
+			e.recordFailure(fmt.Errorf("sim: driver panicked: %v\n%s", r, debug.Stack()))
+			return
+		}
+		e.recordFailure(fmt.Errorf("sim: proc %d panicked at %v: %v\n%s", p.id, p.clock, r, debug.Stack()))
+	}
 }
 
 // EventFn is the typed form of a scheduled event: fn(arg, at) runs at
@@ -152,7 +158,7 @@ func (e *Engine) recordFailure(err error) {
 type EventFn func(arg any, at Time)
 
 // ScheduleAt registers fn to run at virtual time t. Events run in (t, FIFO)
-// order, in the goroutine of whichever processor reaches them first; they
+// order, inside whichever body (or the driver) reaches them first; they
 // must not block and must not call Park or Checkpoint. Events typically
 // deposit a message and call Proc.WakeAt.
 //
@@ -176,89 +182,6 @@ func runThunk(arg any, _ Time) { arg.(func())() }
 func (e *Engine) ScheduleCall(t Time, fn EventFn, arg any) {
 	e.eventSeq++
 	e.events.push(event{at: t, seq: e.eventSeq, fn: fn, arg: arg})
-}
-
-// Run executes body once per processor (SPMD style) and returns when every
-// processor's body has returned. It returns an error if the simulation
-// deadlocks (every processor parked with no pending events) or if any
-// processor panics.
-func (e *Engine) Run(body func(*Proc)) error {
-	bodies := make([]func(*Proc), len(e.procs))
-	for i := range bodies {
-		bodies[i] = body
-	}
-	return e.RunEach(bodies)
-}
-
-// RunEach is Run with a distinct body per processor. This is the
-// compatibility shell of the two-mode runtime: bodies are ordinary
-// functions on per-processor goroutines, suspended and resumed through
-// buffered channels. RunResumables is the goroutine-free mode.
-func (e *Engine) RunEach(bodies []func(*Proc)) error {
-	if len(bodies) != len(e.procs) {
-		return fmt.Errorf("sim: RunEach got %d bodies for %d procs", len(bodies), len(e.procs))
-	}
-	if e.started {
-		return fmt.Errorf("sim: engine already started; New an engine per run")
-	}
-	e.started = true
-	e.liveCount = len(e.procs)
-	e.wg.Add(len(e.procs))
-	for i, p := range e.procs {
-		p.state = stateReady
-		//lint:allow goroutinefree resume is the coroutine handoff channel; buffer 1 so handoffs never block the sender
-		p.resume = make(chan struct{}, 1)
-		e.ready.push(p)
-		//lint:allow goroutinefree processor bodies are coroutines: exactly one is runnable at a time, handed off via resume
-		go e.procMain(p, bodies[i])
-	}
-	// Hand control to the first processor and wait for completion.
-	first := e.ready.pop()
-	first.state = stateRunning
-	//lint:allow goroutinefree deterministic coroutine handoff: the buffered resume send never blocks or races
-	first.resume <- struct{}{}
-	//lint:allow goroutinefree Run's caller parks here until the last coroutine signals completion
-	<-e.doneCh
-	e.wg.Wait()
-	return e.failure
-}
-
-func (e *Engine) procMain(p *Proc, body func(*Proc)) {
-	defer e.wg.Done()
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		if _, ok := r.(abortPanic); ok {
-			return
-		}
-		// Like Fail, the first recorded failure wins: a second processor
-		// unwinding with its own panic (or a body deferring a panic into
-		// the abort path) must not mask the root cause.
-		if _, ok := r.(timeLimitPanic); ok {
-			e.recordFailure(fmt.Errorf("sim: proc %d at %v: %w", p.id, p.clock, ErrTimeLimit))
-			e.abortFromRunning()
-			return
-		}
-		e.recordFailure(fmt.Errorf("sim: proc %d panicked at %v: %v\n%s", p.id, p.clock, r, debug.Stack()))
-		e.abortFromRunning()
-	}()
-	//lint:allow goroutinefree each coroutine parks at birth until the scheduler hands it the CPU
-	<-p.resume
-	if e.aborted {
-		panic(abortPanic{})
-	}
-	body(p)
-	e.finish(p)
-}
-
-// finish retires a processor whose body returned and dispatches the next
-// runnable entity. Called on p's goroutine, which simply returns afterwards.
-func (e *Engine) finish(p *Proc) {
-	p.state = stateDone
-	e.liveCount--
-	e.dispatch(p)
 }
 
 // next pops the runnable processor with the smallest clock, executing any
@@ -294,97 +217,39 @@ func (e *Engine) deadlockError() error {
 	return fmt.Errorf("%s", msg)
 }
 
-// abortFromRunning tears down the simulation from the currently running
-// goroutine: every parked goroutine is resumed and unwinds via abortPanic.
-// Reentrant: a goroutine whose unwind raises a secondary failure calls
-// this again, concurrently with the teardown already in flight — the
-// second call finds aborted set and only confirms the done signal.
-func (e *Engine) abortFromRunning() {
-	e.failMu.Lock()
-	defer e.failMu.Unlock()
-	if !e.aborted {
-		e.aborted = true
-		for _, p := range e.procs {
-			if p.state == stateReady || p.state == stateBlocked || p.state == statePending {
-				p.state = stateDone
-				// Resumable processors have no goroutine to unwind (resume
-				// is nil); marking them done is the whole teardown.
-				if p.resume != nil {
-					//lint:allow goroutinefree abort path: wake every parked coroutine so it unwinds via abortPanic
-					p.resume <- struct{}{}
-				}
-			}
-		}
-	}
-	e.signalDoneLocked()
-}
-
-func (e *Engine) signalDone() {
-	e.failMu.Lock()
-	e.signalDoneLocked()
-	e.failMu.Unlock()
-}
-
-func (e *Engine) signalDoneLocked() {
-	if !e.doneClosed {
-		e.doneClosed = true
-		//lint:allow goroutinefree completion signal to the single Run caller; closed exactly once
-		close(e.doneCh)
-	}
-}
-
-// switchTo hands the CPU from the running processor `from` (which stays
-// runnable) to `to`, and parks until someone hands control back.
-func (e *Engine) switchTo(from, to *Proc) {
-	e.switches++
-	from.state = stateReady
-	e.ready.push(from)
-	to.state = stateRunning
-	//lint:allow goroutinefree deterministic coroutine handoff: hand the CPU to the chosen processor
-	to.resume <- struct{}{}
-	//lint:allow goroutinefree park until some coroutine hands the CPU back
-	<-from.resume
-	if e.aborted {
+// yieldTo hands the CPU from the running coroutine body `from` to `to`:
+// the body yields `to` to the driver, which resumes it at once, and `from`
+// stays suspended until the driver resumes it in turn. The caller has
+// already put `from` back in the ready heap or parked it. A false yield
+// means the driver is tearing the run down: unwind the body.
+func (e *Engine) yieldTo(from, to *Proc) {
+	if !from.yield(to) {
 		panic(abortPanic{})
 	}
 }
 
-// dispatch is the central scheduler loop, entered whenever the processor
-// running on the current goroutine gives up the CPU: `from` has either
-// blocked (Park, ParkPollable) or retired (finish). It keeps choosing the
-// next runnable entity, driving pollable waits inline (stepWait) without
-// resuming their goroutines, until either `from` itself becomes the next
-// runnable again (fast path: keep executing on this goroutine, no channel
-// round-trip — the schedule is identical, next() already made the choice)
-// or a processor with a real continuation must run, in which case the CPU
-// is handed off and `from` parks until someone hands it back.
+// dispatch is the in-body scheduler loop, entered whenever a coroutine
+// body gives up the CPU: `from` has blocked (Park, ParkPollable) or
+// rejoined the ready heap (Checkpoint). It keeps choosing the next
+// runnable entity, driving pollable waits inline (stepWait) without
+// resuming their bodies, until either `from` itself becomes the next
+// runnable again (fast path: keep executing, no coroutine switch — the
+// schedule is identical, next() already made the choice) or a processor
+// with a real continuation must run, in which case `from` yields it to the
+// driver.
 //
 //repro:hotpath
 func (e *Engine) dispatch(from *Proc) {
 	for {
 		next := e.next()
 		if next == nil {
-			if from.state == stateDone {
-				if e.liveCount == 0 {
-					e.signalDone()
-					return
-				}
-				e.recordFailure(e.deadlockError())
-				e.abortFromRunning()
-				return
-			}
-			if e.liveCount == 0 {
-				// Unreachable: `from` itself is still live.
-				panic("sim: parked with no live processors")
-			}
 			e.recordFailure(e.deadlockError())
-			e.abortFromRunning()
 			panic(abortPanic{})
 		}
 		if next.wait != nil {
 			// The chosen processor is parked in a pollable wait: run one
 			// wait iteration right here instead of bouncing the CPU to its
-			// goroutine and back. stepWait leaves it runnable again or
+			// body and back. stepWait leaves it runnable again or
 			// re-blocked, and the loop re-decides.
 			e.stepWait(next)
 			continue
@@ -394,22 +259,7 @@ func (e *Engine) dispatch(from *Proc) {
 			from.state = stateRunning
 			return
 		}
-		e.switches++
-		next.state = stateRunning
-		// Read before the handoff: once next holds the token it may WakeAt
-		// `from` concurrently with this goroutine. The value is fixed at
-		// dispatch entry anyway (done means finish() called us).
-		done := from.state == stateDone
-		//lint:allow goroutinefree deterministic coroutine handoff: dispatch the unique next runnable
-		next.resume <- struct{}{}
-		if done {
-			return
-		}
-		//lint:allow goroutinefree park until WakeAt makes this processor runnable again
-		<-from.resume
-		if e.aborted {
-			panic(abortPanic{})
-		}
+		e.yieldTo(from, next)
 		return
 	}
 }
@@ -419,8 +269,8 @@ func (e *Engine) dispatch(from *Proc) {
 // clock runnable. The iteration mirrors the waiter's own loop exactly —
 // time-limit check, condition, poll one due message, spin toward a known
 // arrival, park again — at the same virtual instants and in the same
-// global order its goroutine would have run them; only the goroutine
-// hand-off is elided. Events due at or before p's clock have already run
+// global order its body would have run them; only the coroutine hand-off
+// is elided. Events due at or before p's clock have already run
 // (next() executes them before popping), matching the Checkpoint at the
 // top of the waiter's loop. Branches that advance p's clock finish with
 // drainEvents, reproducing the drain the next loop-top Checkpoint would
@@ -434,18 +284,16 @@ func (e *Engine) dispatch(from *Proc) {
 func (e *Engine) stepWait(p *Proc) {
 	if e.timeLimit > 0 && p.clock > e.timeLimit {
 		// Same failure the waiter's own Checkpoint would have raised,
-		// attributed to the waiter, not to the goroutine driving it.
+		// attributed to the waiter, not to the body driving it.
 		e.recordFailure(fmt.Errorf("sim: proc %d at %v: %w", p.id, p.clock, ErrTimeLimit))
-		e.abortFromRunning()
 		panic(abortPanic{})
 	}
 	e.inlineSteps++
-	// p stays stateBlocked for the duration of the step: its goroutine
-	// really is parked, so if the step panics (for example a handler
-	// violating discipline), abortFromRunning still wakes and unwinds it.
-	// No WakeAt can target p mid-step — wakes come only from events, and
-	// events never run inside a step — so the blocked state is never
-	// observed by a waker.
+	// p stays stateBlocked for the duration of the step: its body really
+	// is parked, so if the step panics (for example a handler violating
+	// discipline), the teardown still unwinds it. No WakeAt can target p
+	// mid-step — wakes come only from events, and events never run inside
+	// a step — so the blocked state is never observed by a waker.
 	p.state = stateBlocked
 	w := p.wait
 	if w.Ready(p) {

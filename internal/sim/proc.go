@@ -27,20 +27,19 @@ const (
 type procState uint8
 
 const (
-	statePending procState = iota // goroutine created, never dispatched
+	statePending procState = iota // never dispatched
 	stateRunning                  // the single currently executing processor
 	stateReady                    // runnable, waiting in the ready heap
 	stateBlocked                  // parked until WakeAt
 	stateDone                     // body returned
 )
 
-// Proc is one simulated processor in either of the runtime's two modes.
-// In the coroutine shell (Run/RunEach) the body is an ordinary function
-// on its own goroutine, suspended and resumed through the buffered
-// resume channel; in resumable mode (RunResumables) the body is a state
-// machine the driver steps inline and the channel is never created. Both
-// modes manipulate virtual time through this handle, and both park on
-// the same PollableWait machinery — which is why a program expressed
+// Proc is one simulated processor, whichever form its body takes. A
+// blocking body (Run/RunEach) is an ordinary function the driver runs as
+// a coroutine, suspended wherever it gives up the CPU; a state-machine
+// body (RunResumables) is stepped inline and has no stack of its own.
+// Both forms manipulate virtual time through this handle, and both park
+// on the same PollableWait machinery — which is why a program expressed
 // either way sees the same virtual timeline at its waits. A Proc is not
 // safe for use from outside its body's execution context (the engine
 // guarantees only one body runs at a time, so cross-proc data structures
@@ -52,13 +51,13 @@ type Proc struct {
 	clock     Time
 	state     procState
 	heapIndex int
-	// resume is the coroutine-shell handoff channel. It exists only for
-	// goroutine-backed processors (created by RunEach); resumable
-	// processors leave it nil — they have no goroutine to hand control to.
-	resume chan struct{}
-	// body is the processor's state machine in resumable mode, nil in the
-	// coroutine shell.
+	// body is what the driver resumes: a state machine, or the coroutine
+	// adapter around a blocking body. Nil once the body has finished.
 	body Resumable
+	// yield suspends a blocking body, handing the driver the processor to
+	// run next (see Engine.yieldTo). Nil for state-machine bodies, which
+	// have no stack to suspend.
+	yield func(next *Proc) bool
 
 	blockReason string
 	// rng is built lazily by Rand: a million-processor machine whose
@@ -74,7 +73,7 @@ type Proc struct {
 
 	// wait, when non-nil, marks the processor as parked in a pollable
 	// wait (see ParkPollable): the dispatcher may drive its wait-loop
-	// iterations inline instead of resuming this goroutine.
+	// iterations inline instead of resuming this body.
 	wait PollableWait
 
 	// onClock, when set, observes every clock mutation (see SetClockHook).
@@ -127,9 +126,9 @@ func (p *Proc) SetClockHook(fn func(kind ClockKind, from, to Time)) { p.onClock 
 // ClockStretch. This is the seam fault injection uses for per-processor
 // slowdown windows and one-off delays: the charging layer still observes
 // its base cost through its own hooks, while the injected extension is
-// attributed separately. fn runs synchronously on the processor's
-// goroutine in deterministic order and must not manipulate virtual time
-// itself. nil detaches.
+// attributed separately. fn runs synchronously in the processor's body,
+// in deterministic order, and must not manipulate virtual time itself.
+// nil detaches.
 func (p *Proc) SetStretch(fn func(from, d Time) Time) { p.onStretch = fn }
 
 // Advance charges d of local computation (or overhead) to the processor.
@@ -179,7 +178,7 @@ func (p *Proc) AdvanceTo(t Time) {
 //repro:hotpath
 func (p *Proc) Checkpoint() {
 	e := p.eng
-	if e.resumable {
+	if p.yield == nil {
 		panic("sim: Checkpoint from a resumable body; use RunDueEvents and continuation waits")
 	}
 	if e.timeLimit > 0 && p.clock > e.timeLimit {
@@ -202,7 +201,7 @@ func (p *Proc) Checkpoint() {
 		e.ready.pop()
 		if q.wait != nil {
 			// q is parked in a pollable wait: drive one iteration of it
-			// from here instead of switching goroutines. q was the heap
+			// from here instead of switching coroutines. q was the heap
 			// minimum and p is running with a clock at or past q's, so q
 			// sees exactly the state its own checkpoint would have.
 			e.stepWait(q)
@@ -221,7 +220,9 @@ func (p *Proc) Checkpoint() {
 			continue
 		}
 		switched = true
-		e.switchTo(p, q)
+		p.state = stateReady
+		e.ready.push(p)
+		e.yieldTo(p, q)
 	}
 }
 
@@ -236,7 +237,7 @@ func (p *Proc) Checkpoint() {
 //
 //repro:hotpath
 func (p *Proc) Park(reason string) {
-	if p.eng.resumable {
+	if p.yield == nil {
 		panic("sim: Park from a resumable body; return the wait from Resume instead")
 	}
 	if len(p.pendingWakes) > 0 {
@@ -262,12 +263,12 @@ func (p *Proc) Park(reason string) {
 // checkpoint, test the condition, service one due unit of work, spin
 // forward to known future work, or park — and every step is expressible
 // against engine and endpoint state rather than the body's stack. A waiter
-// that parks through ParkPollable therefore never needs its goroutine
-// resumed just to discover there is nothing to do: whichever goroutine is
-// dispatching runs the iterations inline, at the same virtual instants and
-// in the same global order, and hands the CPU over only when Ready reports
-// the condition holds. The methods must not call Park, Checkpoint, or
-// anything else that yields.
+// that parks through ParkPollable therefore never needs its body resumed
+// just to discover there is nothing to do: whichever body (or the driver)
+// is dispatching runs the iterations inline, at the same virtual instants
+// and in the same global order, and hands the CPU over only when Ready
+// reports the condition holds. The methods must not call Park,
+// Checkpoint, or anything else that yields.
 type PollableWait interface {
 	// Ready reports whether the awaited condition holds; the wait ends.
 	Ready(p *Proc) bool
@@ -290,7 +291,7 @@ type PollableWait interface {
 //
 //repro:hotpath
 func (p *Proc) ParkPollable(w PollableWait, reason string) bool {
-	if p.eng.resumable {
+	if p.yield == nil {
 		panic("sim: ParkPollable from a resumable body; return the wait from Resume instead")
 	}
 	if len(p.pendingWakes) > 0 {
@@ -312,8 +313,7 @@ func (p *Proc) ParkPollable(w PollableWait, reason string) bool {
 // whichever is later). If the processor is not currently parked, the wakeup
 // is recorded and the processor's next Park returns (at time t) instead of
 // blocking, so wakeups are never lost. WakeAt is the only Proc method that
-// may be called from outside p's own goroutine context (from events or
-// other bodies).
+// may be called from outside p's own body (from events or other bodies).
 //
 //repro:hotpath
 func (p *Proc) WakeAt(t Time) {

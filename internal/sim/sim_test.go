@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/allocpin"
 )
 
 func TestTimeConversions(t *testing.T) {
@@ -273,20 +275,61 @@ func TestFirstFailureWins(t *testing.T) {
 	}
 }
 
-func TestTimeLimitFirstFailureWins(t *testing.T) {
-	// A time-limit abort must also respect first-wins when a body panics
-	// during the resulting unwind.
-	e := New(Config{Procs: 2, TimeLimit: 100})
-	err := e.Run(func(p *Proc) {
-		if p.ID() == 1 {
-			defer func() { panic("secondary") }()
-			p.Park("waiting forever")
-		}
-		p.Advance(1000)
-		p.Checkpoint()
-	})
-	if !errors.Is(err, ErrTimeLimit) {
-		t.Fatalf("expected ErrTimeLimit, got %v", err)
+// TestCoroutineTeardown ends a P=8 run of blocking bodies in each way a
+// run can fail, with bodies suspended at every kind of yield point (parked,
+// requeued mid-Checkpoint, never started) and one body deferring a
+// secondary panic into its unwind. Run must return the root cause, and
+// every coroutine must be gone afterwards: a suspended body that was not
+// unwound would leak its goroutine.
+func TestCoroutineTeardown(t *testing.T) {
+	errBoom := errors.New("boom")
+	cases := []struct {
+		name  string
+		who   int // the processor that fails; -1: all park
+		limit Time
+		fail  func(p *Proc)
+		want  string
+		is    error // the sentinel the error wraps, if any
+	}{
+		{"fail-before-peers-start", 0, 0, func(p *Proc) { p.Engine().Fail(errBoom) }, "boom", errBoom},
+		{"fail", 3, 0, func(p *Proc) { p.Engine().Fail(errBoom) }, "boom", errBoom},
+		{"time-limit", 3, 100, func(p *Proc) {
+			for {
+				p.Advance(50)
+				p.Checkpoint()
+			}
+		}, "proc 3 at", ErrTimeLimit},
+		{"panic", 3, 0, func(*Proc) { panic("root cause") }, "proc 3 panicked", nil},
+		{"deadlock", -1, 0, nil, "deadlock", nil},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			e := New(Config{Procs: 8, TimeLimit: c.limit})
+			err := e.Run(func(p *Proc) {
+				if p.ID() == 5 {
+					defer func() { panic("secondary failure during unwind") }()
+				}
+				p.Advance(Time(p.ID()))
+				p.Checkpoint()
+				if p.ID() == c.who {
+					c.fail(p)
+				}
+				p.Park("waiting for the failure")
+			})
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("err = %v, want the root cause (%q)", err, c.want)
+			}
+			if strings.Contains(err.Error(), "secondary") {
+				t.Errorf("secondary unwind panic masked the root cause: %v", err)
+			}
+			if c.is != nil && !errors.Is(err, c.is) {
+				t.Errorf("err = %v, want one wrapping %v", err, c.is)
+			}
+			if after := runtime.NumGoroutine(); after != before {
+				t.Errorf("%d goroutines before the run, %d after: a suspended body leaked", before, after)
+			}
+		})
 	}
 }
 
@@ -294,27 +337,25 @@ func TestScheduleAndSleepZeroAlloc(t *testing.T) {
 	// The pooled event path: once the event heap has reached its
 	// high-water mark, arming a sleep (ScheduleCall + park + fast-path
 	// wake) must not allocate. Measured from inside the body, where the
-	// steady state lives.
+	// steady state lives; only allocations whose stack passes through
+	// this package count.
 	e := New(Config{Procs: 1})
-	var got uint64
+	var sites []string
 	err := e.Run(func(p *Proc) {
 		for i := 0; i < 100; i++ { // warm the event heap
 			p.Sleep(10)
 		}
-		runtime.GC()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < 1000; i++ {
-			p.Sleep(10)
-		}
-		runtime.ReadMemStats(&after)
-		got = after.Mallocs - before.Mallocs
+		sites = allocpin.Sites([]string{"repro/internal/sim"}, func() {
+			for i := 0; i < 1000; i++ {
+				p.Sleep(10)
+			}
+		})
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != 0 {
-		t.Errorf("steady-state Sleep path allocated %d times in 1000 iterations, want 0", got)
+	for _, s := range sites {
+		t.Errorf("steady-state Sleep path allocated: %s", s)
 	}
 }
 

@@ -1,22 +1,20 @@
 // Package sim provides a deterministic discrete-event simulation engine
-// for SPMD cluster programs, with two processor runtimes behind one
-// scheduling core.
+// for SPMD cluster programs, with one processor runtime.
 //
-// In the coroutine shell (Engine.Run / RunEach), each of the P logical
-// processors runs its body on a goroutine under a cooperative scheduler:
-// exactly one executes at a time, and at every synchronization point (a
-// "checkpoint") control passes to the runnable processor with the
-// smallest virtual clock. In resumable mode (Engine.RunResumables), a
-// processor body is a state machine the engine steps inline from one
-// driver loop on the caller's goroutine — no goroutines, channels, or
-// stacks per processor, which is what lets the simulated machine scale
-// to a million processors. Both modes share the ready and event heaps,
-// the pollable-wait machinery (the engine drives parked waits itself in
-// either mode), and the same stable tie-breaking, so every run is
-// bit-for-bit reproducible and the two runtimes agree wherever a
-// processor parks. Pending events whose timestamps have been reached are
-// executed before any processor proceeds past them, so processors
-// observe a causally consistent virtual timeline.
+// One driver loop (Engine.RunResumables), on the caller's goroutine,
+// repeatedly picks the runnable processor with the smallest virtual clock
+// and resumes its body; pending events whose timestamps have been reached
+// run first, so processors observe a causally consistent virtual
+// timeline. A body takes one of two forms. A state machine (Resumable)
+// returns the PollableWait it parks on and keeps no stack between calls,
+// which is what lets the simulated machine scale to a million processors.
+// An ordinary blocking function (Engine.Run / RunEach) runs as an
+// iter.Pull coroutine that yields to the driver wherever it gives up the
+// CPU (Park, ParkPollable, a Checkpoint that finds a smaller clock).
+// Either way no goroutine or channel belongs to a simulation, the engine
+// drives parked pollable waits itself, and ties break the same stable
+// way, so every run is bit-for-bit reproducible and the two body forms
+// agree wherever a processor parks.
 package sim
 
 import "fmt"

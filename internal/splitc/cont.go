@@ -10,8 +10,8 @@ import (
 )
 
 // Continuation-mode Split-C: the same primitive set as Proc, expressed as
-// resumable state machines so a program can run on sim.RunResumables —
-// one driver goroutine, no stacks — and scale to a million processors.
+// resumable state machines so a program runs on sim.RunResumables with
+// no stack per processor, and scales to a million processors.
 //
 // A Task is re-entered by the runtime after every park, so a primitive
 // cannot keep its progress on the stack. Each TProc method in this file
@@ -675,21 +675,6 @@ func (t *TProc) bcastTreeT(root int, base int) (uint64, sim.PollableWait) {
 			return t.op.acc, nil
 		}
 	}
-}
-
-// AllReduceT is AllReduce: the reduce-broadcast tree with a custom
-// operator. opFn must be a stable function value (use a package-level
-// function, not a per-call closure) since the primitive is re-entered
-// with it.
-//
-// Deprecated: custom operators always run the binomial tree, bypassing
-// the world's algorithm selection. Use AllReduceOpT with a ReduceOp (or
-// the AllReduceSumT/AllReduceMaxT wrappers).
-func (t *TProc) AllReduceT(val uint64, opFn func(a, b uint64) uint64) (uint64, sim.PollableWait) {
-	if t.P() == 1 {
-		return val, nil
-	}
-	return t.allReduceTreeFnT(val, opFn)
 }
 
 // allReduceTreeFnT is allReduceTreeFn: binomial reduce to processor 0,

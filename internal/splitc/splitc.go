@@ -136,12 +136,6 @@ func NewWorld(p int, params logp.Params, seed int64) (*World, error) {
 	return NewWorldCfg(Config{Procs: p, Params: params, Seed: seed})
 }
 
-// NewWorldLimit is NewWorld with a virtual-time limit; runs exceeding it
-// fail with sim.ErrTimeLimit.
-func NewWorldLimit(p int, params logp.Params, seed int64, limit sim.Time) (*World, error) {
-	return NewWorldCfg(Config{Procs: p, Params: params, Seed: seed, TimeLimit: limit})
-}
-
 // NewWorldCfg builds a world from a full Config, resolving the
 // collective selection (including "auto" fields, tuned against cfg's own
 // machine) before the first processor runs.

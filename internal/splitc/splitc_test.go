@@ -430,7 +430,7 @@ func TestRunError(t *testing.T) {
 }
 
 func TestTimeLimitWorld(t *testing.T) {
-	w, err := NewWorldLimit(2, logp.NOW(), 1, 100*sim.Microsecond)
+	w, err := NewWorldCfg(Config{Procs: 2, Params: logp.NOW(), Seed: 1, TimeLimit: 100 * sim.Microsecond})
 	if err != nil {
 		t.Fatal(err)
 	}

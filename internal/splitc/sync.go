@@ -76,20 +76,6 @@ func (p *Proc) recvColl(tag int) uint64 {
 	return v
 }
 
-// AllReduce combines one word from every processor with op (which must be
-// associative and commutative) and returns the result on all processors.
-//
-// Deprecated: custom operators always run the binomial reduce-broadcast
-// tree, bypassing the world's algorithm selection. Use AllReduceOp with
-// a ReduceOp (or the AllReduceSum/AllReduceMax wrappers), which route
-// through the selected algorithm.
-func (p *Proc) AllReduce(val uint64, op func(a, b uint64) uint64) uint64 {
-	if p.P() == 1 {
-		return val
-	}
-	return p.allReduceTreeFn(val, op)
-}
-
 // allReduceTreeFn is the reduce-broadcast tree all-reduce: binomial-tree
 // reduce to processor 0 followed by a binomial broadcast, 2·⌈log2 P⌉
 // message rounds.

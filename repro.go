@@ -193,15 +193,6 @@ func NewWorld(p int, params Params, seed int64) (*World, error) {
 	return splitc.NewWorld(p, params, seed)
 }
 
-// NewWorldLimit is NewWorld with a virtual-time limit; a run that exceeds
-// it fails with a time-limit error (used to detect livelock).
-//
-// Deprecated: use NewWorldCfg, which exposes every construction knob
-// (the time limit and the collective selection included).
-func NewWorldLimit(p int, params Params, seed int64, limit Time) (*World, error) {
-	return splitc.NewWorldLimit(p, params, seed, limit)
-}
-
 // NewWorldCfg builds a cluster from a full WorldConfig, resolving the
 // collective selection (including CollAuto fields, tuned against the
 // config's own machine) at construction.
